@@ -33,6 +33,7 @@ go test ./internal/tokenizer -fuzz FuzzTokenizeKeywords -fuzztime 10s -run '^$'
 go test ./internal/promtext -fuzz FuzzParse -fuzztime 10s -run '^$'
 go test ./internal/repl -fuzz FuzzFrameDecoder -fuzztime 10s -run '^$'
 go test ./internal/analysis/analyzers -fuzz FuzzParseGuardedBy -fuzztime 10s -run '^$'
+go test ./internal/sumindex -fuzz FuzzCandidates -fuzztime 10s -run '^$'
 
 # govulncheck is best-effort: it needs the tool and a vulndb, neither
 # of which an offline builder has.

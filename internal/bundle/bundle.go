@@ -10,6 +10,8 @@ package bundle
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -104,6 +106,33 @@ func New(id ID) *Bundle {
 
 		timeOrdered: true,
 	}
+}
+
+// Clone returns a deep copy of b that shares no mutable state with it,
+// so a reader may keep the copy after releasing the lock that orders
+// it with the writer still growing b. The messages themselves are
+// shared: they are immutable once ingested.
+func (b *Bundle) Clone() *Bundle {
+	c := *b
+	c.nodes = slices.Clone(b.nodes)
+	c.tagCounts = maps.Clone(b.tagCounts)
+	c.urlCounts = maps.Clone(b.urlCounts)
+	c.keyCounts = maps.Clone(b.keyCounts)
+	c.users = maps.Clone(b.users)
+	c.tagNodes = cloneNodeIndex(b.tagNodes)
+	c.urlNodes = cloneNodeIndex(b.urlNodes)
+	c.keyNodes = cloneNodeIndex(b.keyNodes)
+	c.userNodes = cloneNodeIndex(b.userNodes)
+	c.scratch = nil
+	return &c
+}
+
+func cloneNodeIndex(m map[string][]int32) map[string][]int32 {
+	out := make(map[string][]int32, len(m))
+	for k, ids := range m {
+		out[k] = slices.Clone(ids)
+	}
+	return out
 }
 
 // ID returns the bundle identifier.

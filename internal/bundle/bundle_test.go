@@ -215,3 +215,26 @@ func TestIndicants(t *testing.T) {
 		t.Errorf("keys empty")
 	}
 }
+
+// TestCloneIsIndependent: a clone keeps the state it was taken at while
+// the original grows, and both stay valid.
+func TestCloneIsIndependent(t *testing.T) {
+	b := buildGameBundle(t)
+	before := b.Render()
+	c := b.Clone()
+	b.Add(weights, doc(5, "fan", "what an ovation for Lester #redsox #yankee", base.Add(30*time.Minute)))
+	if c.Size() != 4 || b.Size() != 5 {
+		t.Fatalf("sizes clone=%d original=%d, want 4 and 5", c.Size(), b.Size())
+	}
+	if got := c.Render(); got != before {
+		t.Errorf("clone changed as the original grew:\n%s\nwant\n%s", got, before)
+	}
+	if c.TagCount("redsox") != 4 || b.TagCount("redsox") != 5 {
+		t.Errorf("redsox counts clone=%d original=%d, want 4 and 5", c.TagCount("redsox"), b.TagCount("redsox"))
+	}
+	for _, x := range []*Bundle{b, c} {
+		if err := x.Validate(); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -335,7 +335,8 @@ func (s *Service) Trail(id bundle.ID) (string, error) {
 	return s.proc.Trail(id)
 }
 
-// Bundle resolves a bundle (pool or disk) under the read lock.
+// Bundle resolves a bundle (pool or disk) under the read lock and
+// returns a copy the writer never mutates (query.Processor.Bundle).
 func (s *Service) Bundle(id bundle.ID) (*bundle.Bundle, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -176,8 +176,17 @@ func (p *Processor) Reindex() int {
 // Engine exposes the wrapped engine.
 func (p *Processor) Engine() *core.Engine { return p.eng }
 
-// Bundle resolves a bundle in the pool or the disk back-end.
-func (p *Processor) Bundle(id bundle.ID) (*bundle.Bundle, error) { return p.eng.Bundle(id) }
+// Bundle resolves a bundle in the pool or the disk back-end and
+// returns the caller's own copy: a pool bundle is cloned, a disk one is
+// freshly decoded. The concurrent shells call it under their read lock,
+// so the caller may render the result after the lock is released while
+// ingest keeps growing the live bundle.
+func (p *Processor) Bundle(id bundle.ID) (*bundle.Bundle, error) {
+	if b := p.eng.Pool().Get(id); b != nil {
+		return b.Clone(), nil
+	}
+	return p.eng.Bundle(id)
+}
 
 // Snapshot returns engine statistics.
 func (p *Processor) Snapshot() core.Stats { return p.eng.Snapshot() }

@@ -345,7 +345,8 @@ func (r *Replica) SearchBundles(q string, k int) []query.BundleHit {
 	return nil
 }
 
-// Bundle implements server.Backend.
+// Bundle implements server.Backend; the bundle is a copy taken under
+// the serving pipeline's read lock, safe to read while replay applies.
 func (r *Replica) Bundle(id bundle.ID) (*bundle.Bundle, error) {
 	if st := r.state.Load(); st != nil {
 		return st.svc.Bundle(id)

@@ -330,10 +330,22 @@ var down = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "leader restarting", http.StatusInternalServerError)
 })
 
+// paced delays every WAL fetch by a millisecond, so a follower's
+// catch-up spans many polls of the test instead of finishing between
+// two of them.
+func paced(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/repl/wal" {
+			time.Sleep(time.Millisecond)
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
 func TestFollowerSurvivesLeaderRestartMidStream(t *testing.T) {
 	leader := newTestLeader(t)
 	sw := &swapHandler{}
-	sw.set(leader.handler())
+	sw.set(paced(leader.handler()))
 	srv := httptest.NewServer(sw)
 	defer srv.Close()
 
@@ -371,6 +383,11 @@ func TestFollowerSurvivesLeaderRestartMidStream(t *testing.T) {
 		}
 		prev = a
 		return a == uint64(leader.n)
+	})
+	// Applied counts records handed to the local pipeline; its writer
+	// may still hold the last few in its queue.
+	waitFor(t, 5*time.Second, "follower engine drained", func() bool {
+		return int(r.Snapshot().Messages) >= leader.n
 	})
 	if got := int(r.Snapshot().Messages); got != leader.n {
 		t.Fatalf("follower engine has %d messages, leader ingested %d — replay not exactly-once", got, leader.n)

@@ -73,6 +73,9 @@ import (
 type Backend interface {
 	SearchMessages(q string, k int) []query.MessageHit
 	SearchBundles(q string, k int) []query.BundleHit
+	// Bundle returns a bundle no writer touches afterwards (a copy
+	// taken under the backend's lock): /bundle renders it without
+	// holding any backend lock while live ingest may grow the original.
 	Bundle(id bundle.ID) (*bundle.Bundle, error)
 	Snapshot() core.Stats
 	Trending(k int) []trending.Topic

@@ -359,7 +359,8 @@ func (s *Service) Trending(k int) []trending.Topic {
 }
 
 // Bundle resolves a bundle on its owning shard (pool, then that
-// shard's disk back-end).
+// shard's disk back-end) under the read lock and returns a copy the
+// writer never mutates (query.Processor.Bundle).
 func (s *Service) Bundle(id bundle.ID) (*bundle.Bundle, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -7,7 +7,7 @@
 // The index serves two operations on the ingest hot path:
 //
 //   - Candidates: given a new message's indicants, fetch the candidate
-//     bundle list (Algorithm 1, step 1);
+//     bundle list (Algorithm 1, step 1) by merging their posting lists;
 //   - Observe/Forget: keep the postings in sync as messages join
 //     bundles and as the pool evicts bundles (Algorithm 1, step 3 and
 //     Algorithm 3's delete_index).
@@ -17,9 +17,15 @@
 // Twitter Search"): each term's postings live in an ID-sorted slice
 // whose capacity grows through power-of-two size classes, and slabs
 // freed by Forget are recycled through per-class freelists instead of
-// being handed back to the garbage collector. Candidate fetch reuses
-// internal scratch buffers, so the steady-state ingest path allocates
-// only when a term's posting list genuinely outgrows its slab.
+// being handed back to the garbage collector.
+//
+// Because every posting list is ID-sorted, candidate fetch needs no
+// hash table: it k-way merges the message's lists, which yields each
+// distinct bundle once, in ascending ID order, with its per-class hit
+// counts, and then a stable counting sort by hit count produces the
+// (hits desc, ID asc) rank order. Both steps reuse internal scratch
+// buffers, so the steady-state ingest path allocates only when a
+// term's posting list genuinely outgrows its slab.
 package sumindex
 
 import (
@@ -102,19 +108,30 @@ type Index struct {
 	// stores slices of capacity 1<<k.
 	slabs [maxSlabClass + 1][][]Posting
 
-	// Candidate-fetch scratch, reused across calls (see Candidates).
-	// hits packs the per-class hit counts of one bundle into a uint64
-	// (packedHits), so one map pass yields both the ranking total and
-	// the exact per-class counts the Eq. 1 upper bound needs.
-	hits    map[BundleID]uint64
+	// Candidate-fetch scratch, reused across calls (see Candidates):
+	// the posting lists being merged, the merge output in ID order, the
+	// counting-sort buckets, and the output in rank order.
+	cursors []cursor
+	merged  []Candidate
+	buckets []int
 	candBuf []Candidate
 	fetch   FetchInfo
 }
 
-// Packed per-class hit-count layout of the candidate-fetch scratch map:
-// 16 bits each for URL, tag and keyword hits (a message carries at most
-// a few dozen terms per class, and each traversed posting list
-// contributes at most one hit per bundle), one bit for the RT user hit.
+// cursor is one posting list in the candidate-fetch merge: the
+// postings not yet consumed, the first one's ID, and the class shift
+// its hits count under.
+type cursor struct {
+	pl    []Posting
+	head  BundleID // pl[0].ID
+	shift uint
+}
+
+// Packed per-class hit-count layout the merge accumulates one bundle's
+// hits in: 16 bits each for URL, tag and keyword hits (a message
+// carries at most a few dozen terms per class, and each traversed
+// posting list contributes at most one hit per bundle), one bit for
+// the RT user hit.
 const (
 	shiftURL = 0
 	shiftTag = 16
@@ -130,7 +147,6 @@ func New() *Index {
 		ix.classes[c] = make(map[string][]Posting)
 		ix.enabled[c] = true
 	}
-	ix.hits = make(map[BundleID]uint64, 256)
 	return ix
 }
 
@@ -323,6 +339,11 @@ type FetchInfo struct {
 // ascending bundle ID, so callers can cap scoring work at the most
 // promising candidates and the match stage can scan in impact order.
 //
+// The fetch k-way merges the traversed posting lists, which are
+// ID-sorted, into one Candidate per distinct bundle in ascending ID
+// order, then stably counting-sorts that run by descending Hits — the
+// rank order above, with no hash table and no comparison sort.
+//
 // The returned slice is internal scratch, valid only until the next
 // Candidates call on this index — the ingest loop consumes it within
 // one Algorithm 1 step, which is what makes candidate fetch
@@ -332,7 +353,7 @@ type FetchInfo struct {
 //provex:hotpath Algorithm 1 step 1 runs per ingested message
 func (ix *Index) Candidates(doc score.Doc) []Candidate {
 	ix.fetch = FetchInfo{}
-	clear(ix.hits)
+	ix.cursors = ix.cursors[:0]
 	m := doc.Msg
 	for _, h := range m.Hashtags {
 		ix.collect(ClassTag, h, shiftTag)
@@ -346,32 +367,17 @@ func (ix *Index) Candidates(doc score.Doc) []Candidate {
 	if m.IsRT() {
 		ix.collect(ClassUser, m.RTOf, shiftRT)
 	}
-	if len(ix.hits) == 0 {
+	if len(ix.cursors) == 0 {
 		return nil
 	}
-	out := ix.candBuf[:0]
-	for id, packed := range ix.hits {
-		c := Candidate{
-			ID:      id,
-			URLHits: uint16(packed >> shiftURL),
-			TagHits: uint16(packed >> shiftTag),
-			KeyHits: uint16(packed >> shiftKey),
-			RTHit:   packed>>shiftRT != 0,
-		}
-		c.Hits = int(c.URLHits) + int(c.TagHits) + int(c.KeyHits)
-		if c.RTHit {
-			c.Hits++
-		}
-		out = append(out, c)
-	}
-	slices.SortFunc(out, compareCandidates)
-	ix.candBuf = out
-	return out
+	maxHits := ix.merge()
+	ix.rankByHits(maxHits)
+	return ix.candBuf
 }
 
-// collect accumulates one term's posting list into the packed hit map,
-// or records the term as skipped slack when its class is disabled or
-// its list exceeds the fanout cap.
+// collect queues one term's posting list for the merge, or records the
+// term as skipped slack when its class is disabled or its list exceeds
+// the fanout cap.
 //
 //provex:hotpath runs per indicant term of every ingested message
 func (ix *Index) collect(c Class, term string, shift uint) {
@@ -384,10 +390,104 @@ func (ix *Index) collect(c Class, term string, shift uint) {
 		ix.noteSkip(c)
 		return
 	}
-	for _, p := range pl {
-		ix.hits[p.ID] += 1 << shift
+	if len(pl) > 0 {
+		ix.cursors = append(ix.cursors, cursor{pl: pl, head: pl[0].ID, shift: shift})
+		ix.fetch.Postings += len(pl)
 	}
-	ix.fetch.Postings += len(pl)
+}
+
+// merge consumes the queued cursors into ix.merged: one Candidate per
+// distinct bundle ID, ascending, with the hits of every list carrying
+// it. A message queues only a handful of lists, so each step is one
+// linear pass over the list heads: it advances every list at the
+// current minimum and finds the next minimum on the way. It returns
+// the largest Hits produced.
+//
+//provex:hotpath runs per ingested message, once per candidate
+func (ix *Index) merge() int {
+	cur := ix.cursors
+	out := ix.merged[:0]
+	maxHits := 0
+	lo := cur[0].head
+	for _, c := range cur[1:] {
+		lo = min(lo, c.head)
+	}
+	for len(cur) > 1 {
+		var packed uint64
+		next := ^BundleID(0)
+		for i := 0; i < len(cur); {
+			c := &cur[i]
+			if c.head == lo {
+				packed += 1 << c.shift
+				if c.pl = c.pl[1:]; len(c.pl) == 0 {
+					cur[i] = cur[len(cur)-1]
+					cur = cur[:len(cur)-1]
+					continue
+				}
+				c.head = c.pl[0].ID
+			}
+			next = min(next, c.head)
+			i++
+		}
+		c := unpack(lo, packed)
+		maxHits = max(maxHits, c.Hits)
+		out = append(out, c)
+		lo = next
+	}
+	if len(cur) == 1 {
+		// The last list left hits each of its remaining bundles once.
+		one := uint64(1) << cur[0].shift
+		for _, p := range cur[0].pl {
+			out = append(out, unpack(p.ID, one))
+		}
+		maxHits = max(maxHits, 1)
+	}
+	ix.merged = out
+	return maxHits
+}
+
+// unpack builds the Candidate of bundle id from its packed hit counts.
+func unpack(id BundleID, packed uint64) Candidate {
+	c := Candidate{
+		ID:      id,
+		URLHits: uint16(packed >> shiftURL),
+		TagHits: uint16(packed >> shiftTag),
+		KeyHits: uint16(packed >> shiftKey),
+		RTHit:   packed>>shiftRT != 0,
+	}
+	c.Hits = int(c.URLHits) + int(c.TagHits) + int(c.KeyHits)
+	if c.RTHit {
+		c.Hits++
+	}
+	return c
+}
+
+// rankByHits stably counting-sorts ix.merged (ascending ID) by
+// descending Hits into ix.candBuf, so equal-hit candidates keep their
+// ascending ID order. maxHits bounds every Hits value.
+//
+//provex:hotpath runs per ingested message, once per candidate
+func (ix *Index) rankByHits(maxHits int) {
+	in := ix.merged
+	b := slices.Grow(ix.buckets[:0], maxHits+1)[:maxHits+1]
+	clear(b)
+	for _, c := range in {
+		b[c.Hits]++
+	}
+	// Bucket h starts after every bucket of more hits.
+	start := 0
+	for h := maxHits; h >= 0; h-- {
+		n := b[h]
+		b[h] = start
+		start += n
+	}
+	out := slices.Grow(ix.candBuf[:0], len(in))[:len(in)]
+	for _, c := range in {
+		out[b[c.Hits]] = c
+		b[c.Hits]++
+	}
+	ix.buckets = b
+	ix.candBuf = out
 }
 
 // noteSkip records a non-traversed term for LastFetch.
@@ -407,23 +507,6 @@ func (ix *Index) noteSkip(c Class) {
 // LastFetch returns the FetchInfo of the most recent Candidates call.
 // Like the candidate slice itself, it is valid until the next call.
 func (ix *Index) LastFetch() FetchInfo { return ix.fetch }
-
-// compareCandidates orders by descending hit count, then ascending
-// bundle ID — the fetch rank contract Candidates documents. A named
-// function (not a closure) keeps the hot path allocation-free.
-func compareCandidates(a, b Candidate) int {
-	if a.Hits != b.Hits {
-		return b.Hits - a.Hits
-	}
-	switch {
-	case a.ID < b.ID:
-		return -1
-	case a.ID > b.ID:
-		return 1
-	default:
-		return 0
-	}
-}
 
 // Postings returns the posting list of term in class c, ordered by
 // ascending bundle ID. The slice is the index's internal storage:

@@ -230,21 +230,6 @@ func TestCandidateHitBoundProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkCandidates(b *testing.B) {
-	ix := New()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20000; i++ {
-		text := "topic" + string(rune('a'+rng.Intn(26))) + " #tag" + string(rune('a'+rng.Intn(26)))
-		ix.Observe(BundleID(i%3000), doc(tweet.ID(i+1), "u", text))
-	}
-	probe := doc(99999, "p", "topicq thing #tagm #tagz")
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix.Candidates(probe)
-	}
-}
-
 func TestMaxFanoutCapsCandidateFetch(t *testing.T) {
 	ix := New()
 	// Six distinct bundles all carry the same hashtag.
